@@ -18,18 +18,26 @@
 //! `results/bench/BENCH_serve.json`. A second paired measurement pins
 //! the clock-syscall fix: an unobserved, budget-less fleet epoch
 //! (which must time nothing per step) may never run slower than the
-//! observed epoch beyond noise. Set `MINDFUL_BENCH_QUICK=1` (as CI
+//! observed epoch beyond noise. Two overhead rows close the artifact,
+//! each with p50/p99 from raw per-call samples plus the host's core
+//! count and an `oversubscribed` flag (fewer cores than workers): the
+//! *idle epoch* (a `drive_epoch` with no demand — ready scan, grants
+//! and metrics, no dispatch) and the *dispatch phase* (one
+//! `dispatch_phased` phase of empty tasks, one per worker, each held
+//! until every worker has arrived — the worker pool's wake and barrier
+//! alone). Set `MINDFUL_BENCH_QUICK=1` (as CI
 //! does) to shrink iteration counts.
 
 use std::hint::black_box;
 use std::num::{NonZeroU32, NonZeroUsize};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mindful_core::obs::Registry;
-use mindful_core::pool::{default_threads, Scheduler};
+use mindful_core::pool::{default_threads, Scheduler, TaskSlot};
 use mindful_dnn::infer::Network;
 use mindful_dnn::models::{ModelFamily, BASE_CHANNELS};
 use mindful_pipeline::prelude::*;
@@ -194,6 +202,35 @@ fn paired_median_ns(iters: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (
     (ta[ta.len() / 2], tb[tb.len() / 2])
 }
 
+/// Nearest-rank percentile of already sorted raw samples.
+fn percentile(sorted: &[f64], q: f64) -> f64 {
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+/// Times `f` once per sample and returns `(samples, p50, p99)` in ns.
+fn sample_ns(samples: usize, mut f: impl FnMut()) -> (usize, f64, f64) {
+    let mut ns: Vec<f64> = Vec::with_capacity(samples);
+    for _ in 0..samples {
+        let start = Instant::now();
+        f();
+        ns.push(start.elapsed().as_secs_f64() * 1e9);
+    }
+    ns.sort_by(f64::total_cmp);
+    (samples, percentile(&ns, 0.5), percentile(&ns, 0.99))
+}
+
+/// One overhead row of the artifact: raw-sample percentiles plus the
+/// host facts needed to read them.
+fn overhead_row(workers: NonZeroUsize, host: usize, (n, p50, p99): (usize, f64, f64)) -> String {
+    format!(
+        "{{\"workers\": {}, \"host_parallelism\": {host}, \"oversubscribed\": {}, \
+         \"samples\": {n}, \"p50_ns\": {p50:.0}, \"p99_ns\": {p99:.0}}}",
+        workers.get(),
+        host < workers.get(),
+    )
+}
+
 /// One-shot acceptance measurement: the multi-worker fleet epoch must
 /// be at least as fast as serving the same sessions sequentially, and
 /// the headline serving rows come from the fleet's own registry.
@@ -282,7 +319,37 @@ fn report_serve_acceptance(_c: &mut Criterion) {
         .counter("serve.best_effort.deadline_misses")
         .expect("registered per-class counter");
 
+    // Overhead rows. The idle epoch: sessions admitted, no demand, so
+    // every phase is empty and nothing is dispatched. The dispatch
+    // phase: one empty task per worker, each held until all workers
+    // have arrived, so every helper is woken and waited for — the
+    // pool's per-phase hand-off cost on its own (without the hold, the
+    // caller would run the whole phase before a helper woke).
+    let samples = if quick() { 500 } else { 5_000 };
+    let idle = sample_ns(samples, || {
+        let report = fleet.drive_epoch().expect("idle epoch succeeds");
+        assert_eq!(report.steps, 0);
+    });
+    let noop_slots: Vec<TaskSlot<()>> = (0..workers.get()).map(|_| TaskSlot::new(())).collect();
+    let noop_ready: Vec<usize> = (0..workers.get()).collect();
+    let phase = sample_ns(samples, || {
+        let arrived = AtomicUsize::new(0);
+        fleet_sched.dispatch_phased(&noop_slots, &[&noop_ready], |_, ()| {
+            arrived.fetch_add(1, Ordering::AcqRel);
+            while arrived.load(Ordering::Acquire) < workers.get() {
+                std::thread::yield_now();
+            }
+        });
+    });
     let host = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    println!(
+        "serve/overhead idle epoch p50 {:.1} us p99 {:.1} us; dispatch phase \
+         p50 {:.1} us p99 {:.1} us ({workers} workers / {host} cores)",
+        idle.1 / 1e3,
+        idle.2 / 1e3,
+        phase.1 / 1e3,
+        phase.2 / 1e3,
+    );
     println!(
         "serve/mlp128x{SESSIONS}x{STEPS} fleet {:.2} ms vs sequential {:.2} ms \
          ({speedup:.2}x on {workers} workers / {host} cores, \
@@ -330,10 +397,14 @@ fn report_serve_acceptance(_c: &mut Criterion) {
          \"best_effort_sessions\": {},\n  \
          \"best_effort_sessions_per_sec\": {be_sessions_per_sec:.1},\n  \
          \"best_effort_p99_step_ns\": {be_p99_step_ns},\n  \
-         \"best_effort_deadline_misses\": {be_deadline_misses}\n}}\n",
+         \"best_effort_deadline_misses\": {be_deadline_misses},\n  \
+         \"idle_epoch\": {},\n  \
+         \"dispatch_phase\": {}\n}}\n",
         quick(),
         workers.get(),
         SESSIONS - REALTIME_SESSIONS,
+        overhead_row(workers, host, idle),
+        overhead_row(workers, host, phase),
     ));
 }
 

@@ -21,8 +21,9 @@
 //! * [`dataflow`] — communication- vs. computation-centric pipelines.
 //! * [`geometry`] — channel pitch and neuron-coverage metrics.
 //! * [`explore`] — design-space candidates and Pareto frontiers.
-//! * [`pool`] — deterministic scoped-thread fan-out primitives shared
-//!   by the sweep engine, batched DNN inference, and Monte-Carlo BER.
+//! * [`pool`] — the shared `Scheduler` (a persistent worker pool) and
+//!   the deterministic fan-out primitives used by the sweep engine,
+//!   batched DNN inference, Monte-Carlo BER, and fleet serving.
 //! * [`sweep`] — the parallel batched sweep engine driving Figs. 5–7
 //!   and 10 and the `explore` experiment.
 //! * [`obs`] — zero-overhead observability: sharded metrics registry,

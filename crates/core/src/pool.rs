@@ -7,15 +7,15 @@
 //! serving (`mindful_pipeline::StreamSet`), and the fleet serving
 //! layer (`mindful_pipeline::serve`) — runs as a *client* of one
 //! [`Scheduler`]: a long-lived dispatch service that owns the worker
-//! budget, the claim queue, and the fairness/steal accounting. No
-//! consumer owns its own pool anymore; they differ only in which
-//! dispatch discipline they ask for:
+//! threads, the claim queue, and the fairness/steal accounting. No
+//! consumer owns its own pool; they differ only in which dispatch
+//! discipline they ask for:
 //!
 //! * [`Scheduler::map_init_with`] (and the [`par_map`] /
 //!   [`par_map_init`] wrappers over the private shared scheduler) —
 //!   **chunked** dispatch: the input splits into contiguous chunks,
-//!   one per worker, each with private per-worker state, and results
-//!   land in pre-assigned slots. Output order — and any
+//!   each processed with private state built once per chunk, and
+//!   results land in pre-assigned slots. Output order — and any
 //!   state-dependent output — is byte-identical for every worker
 //!   count and schedule.
 //! * [`Scheduler::map_mut_with`] — the same chunked discipline over
@@ -29,10 +29,53 @@
 //!   is independent of *which* worker runs them (each task owns its
 //!   whole state).
 //!
-//! OS threads are scoped per call — the service is long-lived, the
-//! workers are not — so clients can hand the scheduler borrowed data
-//! without `'static` bounds, and a one-worker (or one-task) dispatch
-//! runs inline on the caller's thread without spawning or allocating.
+//! ## The worker pool
+//!
+//! A scheduler with `w` workers owns `w − 1` long-lived helper threads,
+//! started by [`Scheduler::new`] (which returns once every one of them
+//! is parked, so thread start-up never lands inside a dispatch) and
+//! parked on a condition variable between dispatches; a one-worker
+//! scheduler starts none. The calling thread is always the `w`-th
+//! participant. Every parallel dispatch phase is one *wake* and one
+//! *barrier*:
+//!
+//! 1. the caller publishes the phase's claim loop (a borrowed closure)
+//!    together with a number of participation tickets and wakes that
+//!    many helpers;
+//! 2. the caller runs the same claim loop itself — every participant
+//!    pulls work through one shared atomic cursor until it is dry;
+//! 3. the caller revokes the tickets no helper has taken yet (a helper
+//!    that wakes late finds the work gone and parks again) and waits
+//!    until every helper that did join has left the closure.
+//!
+//! Helpers never spin: they sleep in the kernel until the next phase.
+//! A one-worker (or one-task) dispatch touches no shared state at all
+//! and runs inline on the caller's thread, and no dispatch allocates
+//! for the hand-off itself, so a warm multi-worker fleet epoch is as
+//! allocation-free as the serial one. Dropping the [`Scheduler`] shuts
+//! the pool down and joins its threads.
+//!
+//! **Panics.** A task that panics on a helper is caught there; the
+//! barrier still completes and the first payload is re-raised on the
+//! caller once every participant has left the phase (a panic in the
+//! caller's own share likewise waits for the barrier before it
+//! unwinds). The helpers survive, so the same scheduler serves the
+//! next epoch.
+//!
+//! **Busy pool.** The pool serves one dispatch at a time. A dispatch
+//! that finds it busy — a second thread sharing the scheduler (such as
+//! the process-wide one behind [`par_map`]), or a task dispatching from
+//! inside a task — runs its whole phase inline on the calling thread
+//! instead of blocking. Every discipline's results are
+//! schedule-independent by construction, so this never changes an
+//! output.
+//!
+//! **Lifetime erasure.** Helpers outlive any one dispatch, so the
+//! borrowed claim loop is handed to them as a `'static` reference. That
+//! erasure happens in exactly one place (the private `Pool::run`) and
+//! is sound only because the caller does not return — or unwind —
+//! before the barrier has seen every helper leave the closure and the
+//! published reference has been cleared.
 //!
 //! Worker count defaults to the machine's available parallelism and
 //! can be pinned with the `MINDFUL_SWEEP_THREADS` environment variable
@@ -42,9 +85,20 @@
 //! sweep engine that introduced it — and governs every consumer of
 //! [`default_threads`].
 
+// SAFETY: the only unsafe construct in this module is the lifetime
+// erasure in `Pool::run`, which publishes a borrowed closure to the
+// parked helper threads. The caller blocks at the phase barrier until
+// every helper that took a participation ticket has returned from the
+// closure, then clears the published reference before returning, on
+// the normal path and when its own share (or a helper's) panicked.
+#![allow(unsafe_code)]
+
+use std::any::Any;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::JoinHandle;
 
 /// Environment variable that pins the worker count for every consumer
 /// of [`default_threads`] (historically named after the sweep engine).
@@ -91,16 +145,16 @@ pub fn thread_override(raw: &str) -> Option<NonZeroUsize> {
     crate::env::parse_count(raw, MAX_SWEEP_THREADS)
 }
 
-/// Maps `f` over `items` on up to `threads` scoped worker threads,
-/// returning outputs in input order.
+/// Maps `f` over `items` split into up to `threads` chunks, returning
+/// outputs in input order.
 ///
 /// A thin wrapper over the private shared [`Scheduler`]
 /// ([`Scheduler::map_with`]): the slice is split into contiguous
-/// chunks, one per worker; each worker writes its outputs into the
-/// matching slots of the result vector, so the output order is
-/// independent of scheduling. `f` receives the item's index alongside
-/// the item. With one thread (or one item) no workers are spawned at
-/// all.
+/// chunks, claimed by the shared scheduler's workers; each chunk's
+/// outputs land in the matching slots of the result vector, so the
+/// output order is independent of scheduling. `f` receives the item's
+/// index alongside the item. With one thread (or one item) everything
+/// runs inline on the caller's thread.
 pub fn par_map<I, T, F>(items: &[I], threads: NonZeroUsize, f: F) -> Vec<T>
 where
     I: Sync,
@@ -110,19 +164,19 @@ where
     shared().map_with(items, threads, f)
 }
 
-/// [`par_map`] with per-worker mutable state.
+/// [`par_map`] with per-chunk mutable state.
 ///
 /// A thin wrapper over the private shared [`Scheduler`]
-/// ([`Scheduler::map_init_with`]). Each worker calls `init` exactly
-/// once before processing its chunk and threads the resulting state
-/// through every item it owns — the shape needed for reusable scratch
-/// buffers (e.g. an inference workspace) that must not be shared
-/// across threads nor rebuilt per item. On the serial path (one thread
-/// or at most one item) `init` is called once overall.
+/// ([`Scheduler::map_init_with`]). `init` runs exactly once per chunk,
+/// before the chunk's first item, and the resulting state is threaded
+/// through every item of that chunk — the shape needed for reusable
+/// scratch buffers (e.g. an inference workspace) that must not be
+/// shared across threads nor rebuilt per item. On the serial path (one
+/// thread or at most one item) `init` is called once overall.
 ///
 /// Results come back in input order for any worker count; the state is
-/// deterministically partitioned (worker `w` owns the `w`-th contiguous
-/// chunk), so any state-dependent output is reproducible too.
+/// deterministically partitioned (chunk `c` is the `c`-th contiguous
+/// run of items), so any state-dependent output is reproducible too.
 pub fn par_map_init<I, T, S, G, F>(items: &[I], threads: NonZeroUsize, init: G, f: F) -> Vec<T>
 where
     I: Sync,
@@ -152,7 +206,8 @@ where
 ///
 /// Kept private to the wrappers; layers that want to share one
 /// scheduler explicitly (the fleet serving layer) construct and pass
-/// their own [`Scheduler`].
+/// their own [`Scheduler`]. Its helper threads start on first use and
+/// live for the rest of the process.
 fn shared() -> &'static Scheduler {
     static SHARED: OnceLock<Scheduler> = OnceLock::new();
     SHARED.get_or_init(Scheduler::with_default_threads)
@@ -200,33 +255,248 @@ impl<T> TaskSlot<T> {
 
     /// Locks the slot (used by the dispatch workers; a claimed slot is
     /// never contended).
-    fn lock(&self) -> std::sync::MutexGuard<'_, T> {
+    fn lock(&self) -> MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A phase's claim loop as published to the helpers.
+type Job<'a> = dyn Fn() + Sync + 'a;
+
+/// What the caller and the helpers share, all under one mutex.
+#[derive(Default)]
+struct PoolState {
+    /// The current phase's claim loop; `Some` only between publication
+    /// and the end of that phase's barrier.
+    job: Option<&'static Job<'static>>,
+    /// Helpers that may still join the current phase.
+    tickets: usize,
+    /// Helpers currently inside `job`.
+    running: usize,
+    /// The caller is parked at the barrier.
+    waiting: bool,
+    /// The first panic payload caught on a helper this phase.
+    panic: Option<Box<dyn Any + Send>>,
+    /// Helpers that have finished starting up.
+    started: usize,
+    shutdown: bool,
+}
+
+#[derive(Default)]
+struct PoolShared {
+    state: Mutex<PoolState>,
+    /// Helpers park here between phases.
+    wake: Condvar,
+    /// The caller parks here at the barrier (and the constructor,
+    /// until every helper has started).
+    idle: Condvar,
+}
+
+impl PoolShared {
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        // Nothing panics while holding the lock (jobs run outside it),
+        // so poisoning cannot leave the state inconsistent.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The parked helper threads of one [`Scheduler`].
+struct Pool {
+    shared: Arc<PoolShared>,
+    helpers: Vec<JoinHandle<()>>,
+    /// Held by the one dispatch currently using the helpers.
+    busy: AtomicBool,
+}
+
+/// Releases [`Pool::busy`] on every exit path, unwinding included.
+struct BusyGuard<'a>(&'a AtomicBool);
+
+impl Drop for BusyGuard<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::Release);
+    }
+}
+
+impl Pool {
+    /// Starts `helpers` threads and returns once all of them are
+    /// parked, so their start-up (and its allocations) is part of
+    /// construction, never of a later dispatch. A thread the OS
+    /// refuses to start only shrinks the pool; dispatch stays correct
+    /// with any number of helpers, including none.
+    fn new(helpers: usize) -> Self {
+        let shared = Arc::new(PoolShared::default());
+        let helpers: Vec<_> = (0..helpers)
+            .filter_map(|i| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("mindful-pool-{i}"))
+                    .spawn(move || helper_loop(&shared))
+                    .ok()
+            })
+            .collect();
+        let mut state = shared.lock();
+        while state.started < helpers.len() {
+            state = shared
+                .idle
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        drop(state);
+        Self {
+            shared,
+            helpers,
+            busy: AtomicBool::new(false),
+        }
+    }
+
+    /// Runs `job` on the caller and on up to `participants − 1`
+    /// helpers, returning once every participant has left it. `job`
+    /// must be a claim loop: any one participant running it alone
+    /// completes the whole phase.
+    fn run(&self, participants: usize, job: &Job<'_>) {
+        let helpers = self.helpers.len().min(participants.saturating_sub(1));
+        if helpers == 0
+            || self
+                .busy
+                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+                .is_err()
+        {
+            job();
+            return;
+        }
+        let _busy = BusyGuard(&self.busy);
+        // SAFETY: only the lifetime is erased. Helpers dereference the
+        // published reference only while holding a ticket, and the
+        // barrier below returns only after the tickets are revoked, no
+        // helper is inside `job` any more, and `job` is unpublished. The
+        // caller's own share runs under `catch_unwind`, so that barrier
+        // is reached on every path before `job`'s borrow can end.
+        let erased = unsafe { std::mem::transmute::<&Job<'_>, &'static Job<'static>>(job) };
+        {
+            let mut state = self.shared.lock();
+            state.job = Some(erased);
+            state.tickets = helpers;
+        }
+        if helpers == self.helpers.len() {
+            self.shared.wake.notify_all();
+        } else {
+            for _ in 0..helpers {
+                self.shared.wake.notify_one();
+            }
+        }
+        let own = panic::catch_unwind(AssertUnwindSafe(job));
+        let helper_panic = {
+            let mut state = self.shared.lock();
+            state.tickets = 0;
+            while state.running > 0 {
+                state.waiting = true;
+                state = self
+                    .shared
+                    .idle
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            state.waiting = false;
+            state.job = None;
+            state.panic.take()
+        };
+        if let Err(payload) = own {
+            panic::resume_unwind(payload);
+        }
+        if let Some(payload) = helper_panic {
+            panic::resume_unwind(payload);
+        }
+    }
+}
+
+/// A helper's life: park until a ticket is offered, run the published
+/// claim loop, report at the barrier, repeat until shutdown.
+fn helper_loop(shared: &PoolShared) {
+    let mut state = shared.lock();
+    state.started += 1;
+    shared.idle.notify_one();
+    loop {
+        if state.shutdown {
+            return;
+        }
+        if state.tickets == 0 {
+            state = shared
+                .wake
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+            continue;
+        }
+        state.tickets -= 1;
+        state.running += 1;
+        let job = state.job.expect("tickets are only offered with a job");
+        drop(state);
+        let outcome = panic::catch_unwind(AssertUnwindSafe(job));
+        state = shared.lock();
+        state.running -= 1;
+        if let Err(payload) = outcome {
+            state.panic.get_or_insert(payload);
+        }
+        if state.running == 0 && state.waiting {
+            shared.idle.notify_one();
+        }
+    }
+}
+
+impl Drop for Pool {
+    fn drop(&mut self) {
+        self.shared.lock().shutdown = true;
+        self.shared.wake.notify_all();
+        for helper in self.helpers.drain(..) {
+            // Helpers catch every task panic, so a join error is
+            // impossible; there is nothing to report at drop either way.
+            let _ = helper.join();
+        }
+    }
+}
+
+// The join handles are touched only by `Drop`, and every other field
+// is a lock or an atomic, so a dispatch that unwinds leaves nothing
+// observably broken: a `Scheduler` stays usable across `catch_unwind`
+// (the std handles opt out only because of their result slot, which
+// no dispatch reads).
+impl std::panic::UnwindSafe for Pool {}
+impl std::panic::RefUnwindSafe for Pool {}
+
+impl std::fmt::Debug for Pool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Pool")
+            .field("helpers", &self.helpers.len())
+            .finish_non_exhaustive()
     }
 }
 
 /// A long-lived dispatch service multiplexing clients over one worker
 /// budget.
 ///
-/// The scheduler owns scheduling *policy and accounting*, not OS
-/// threads: workers are scoped per dispatch call, so clients can hand
-/// it borrowed data, and the serial paths (one worker or at most one
-/// task) run inline without spawning or allocating. See the module
-/// docs for the two dispatch disciplines and which clients use which.
+/// A scheduler with `w` workers owns `w − 1` parked helper threads for
+/// its whole life and uses the calling thread as the last participant;
+/// clients still hand it borrowed data without `'static` bounds, and
+/// the serial paths (one worker or at most one task) run inline
+/// without waking anyone or allocating. See the module docs for the
+/// two dispatch disciplines, the pool's barrier, and its panic and
+/// busy-pool rules.
 #[derive(Debug)]
 pub struct Scheduler {
     workers: NonZeroUsize,
+    pool: Pool,
     epochs: AtomicU64,
     tasks: AtomicU64,
     steals: AtomicU64,
 }
 
 impl Scheduler {
-    /// A scheduler with an explicit worker budget.
+    /// A scheduler with an explicit worker budget; starts
+    /// `workers − 1` helper threads and returns once all are parked.
     #[must_use]
     pub fn new(workers: NonZeroUsize) -> Self {
         Self {
             workers,
+            pool: Pool::new(workers.get() - 1),
             epochs: AtomicU64::new(0),
             tasks: AtomicU64::new(0),
             steals: AtomicU64::new(0),
@@ -264,6 +534,37 @@ impl Scheduler {
         }
     }
 
+    /// Runs `body(k)` once for every `k` in `0..n` on up to
+    /// `min(workers, n)` participants, claiming indices in order
+    /// through a shared cursor, and returns how many claims went beyond
+    /// a participant's fair share. With one participant this is a plain
+    /// in-order loop on the caller.
+    fn claim_all<B>(&self, n: usize, body: B) -> u64
+    where
+        B: Fn(usize) + Sync,
+    {
+        let workers = self.workers.get().min(n);
+        let share = n.div_ceil(workers.max(1)) as u64;
+        let cursor = AtomicUsize::new(0);
+        let stolen = AtomicU64::new(0);
+        self.pool.run(workers, &|| {
+            let mut claimed = 0_u64;
+            loop {
+                let k = cursor.fetch_add(1, Ordering::Relaxed);
+                if k >= n {
+                    break;
+                }
+                claimed += 1;
+                body(k);
+            }
+            let over = claimed.saturating_sub(share);
+            if over > 0 {
+                stolen.fetch_add(over, Ordering::Relaxed);
+            }
+        });
+        stolen.load(Ordering::Relaxed)
+    }
+
     /// Chunked map over `items` using the scheduler's own worker
     /// budget. See [`Scheduler::map_init_with`].
     pub fn map<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
@@ -275,8 +576,8 @@ impl Scheduler {
         self.map_with(items, self.workers, f)
     }
 
-    /// Chunked map over `items` on up to `threads` workers (stateless
-    /// form of [`Scheduler::map_init_with`]).
+    /// Chunked map over `items` split into up to `threads` chunks
+    /// (stateless form of [`Scheduler::map_init_with`]).
     pub fn map_with<I, T, F>(&self, items: &[I], threads: NonZeroUsize, f: F) -> Vec<T>
     where
         I: Sync,
@@ -286,7 +587,7 @@ impl Scheduler {
         self.map_init_with(items, threads, || (), |(), i, x| f(i, x))
     }
 
-    /// Chunked map with per-worker state using the scheduler's own
+    /// Chunked map with per-chunk state using the scheduler's own
     /// worker budget. See [`Scheduler::map_init_with`].
     pub fn map_init<I, T, S, G, F>(&self, items: &[I], init: G, f: F) -> Vec<T>
     where
@@ -298,15 +599,18 @@ impl Scheduler {
         self.map_init_with(items, self.workers, init, f)
     }
 
-    /// Chunked, deterministic dispatch: maps `f` over `items` on up to
-    /// `threads` scoped workers, each with private state built once by
-    /// `init`, returning outputs in input order.
+    /// Chunked, deterministic dispatch: maps `f` over `items` split
+    /// into up to `threads` contiguous chunks, each processed with
+    /// private state built once by `init`, returning outputs in input
+    /// order.
     ///
-    /// The input splits into contiguous chunks, one per worker; worker
-    /// `w` owns the `w`-th chunk and writes into the matching result
-    /// slots, so the output — including any state-dependent output —
-    /// is byte-identical for every schedule. With one thread (or at
-    /// most one item) everything runs inline on the caller's thread.
+    /// The pool's participants (at most the scheduler's worker budget)
+    /// claim whole chunks through a cursor; chunk `c` is always the
+    /// `c`-th contiguous run of `⌈n / threads⌉` items and writes into
+    /// the matching result slots, so the output — including any
+    /// state-dependent output — is byte-identical for every schedule.
+    /// With one thread (or at most one item) everything runs inline on
+    /// the caller's thread with a single `init`.
     pub fn map_init_with<I, T, S, G, F>(
         &self,
         items: &[I],
@@ -334,28 +638,23 @@ impl Scheduler {
         let chunk = n.div_ceil(workers);
         let mut out: Vec<Option<T>> = Vec::with_capacity(n);
         out.resize_with(n, || None);
-        std::thread::scope(|scope| {
-            let f = &f;
-            let init = &init;
-            for (ci, (in_chunk, out_chunk)) in
-                items.chunks(chunk).zip(out.chunks_mut(chunk)).enumerate()
-            {
-                let base = ci * chunk;
-                scope.spawn(move || {
-                    let mut state = init();
-                    for (j, (item, slot)) in in_chunk.iter().zip(out_chunk.iter_mut()).enumerate() {
-                        *slot = Some(f(&mut state, base + j, item));
-                    }
-                });
+        let parts: Vec<_> = out.chunks_mut(chunk).map(TaskSlot::new).collect();
+        self.claim_all(parts.len(), |ci| {
+            let base = ci * chunk;
+            let mut out_chunk = parts[ci].lock();
+            let mut state = init();
+            for (j, slot) in out_chunk.iter_mut().enumerate() {
+                *slot = Some(f(&mut state, base + j, &items[base + j]));
             }
         });
+        drop(parts);
         out.into_iter()
-            .map(|slot| slot.expect("every slot is written by exactly one worker"))
+            .map(|slot| slot.expect("every slot is written by exactly one chunk"))
             .collect()
     }
 
-    /// Chunked dispatch over `&mut` items: maps `f` over `items` on up
-    /// to `threads` scoped workers, returning outputs in input order.
+    /// Chunked dispatch over `&mut` items: maps `f` over `items` split
+    /// into up to `threads` chunks, returning outputs in input order.
     ///
     /// The `&mut` twin of [`Scheduler::map_with`] for clients whose
     /// tasks are long-lived warm state (a `StreamSet`'s pipelines)
@@ -376,25 +675,22 @@ impl Scheduler {
         let chunk = n.div_ceil(workers);
         let mut out: Vec<Option<R>> = Vec::with_capacity(n);
         out.resize_with(n, || None);
-        std::thread::scope(|scope| {
-            let f = &f;
-            for (ci, (in_chunk, out_chunk)) in items
-                .chunks_mut(chunk)
-                .zip(out.chunks_mut(chunk))
-                .enumerate()
-            {
-                let base = ci * chunk;
-                scope.spawn(move || {
-                    for (j, (item, slot)) in
-                        in_chunk.iter_mut().zip(out_chunk.iter_mut()).enumerate()
-                    {
-                        *slot = Some(f(base + j, item));
-                    }
-                });
+        let parts: Vec<_> = items
+            .chunks_mut(chunk)
+            .zip(out.chunks_mut(chunk))
+            .map(TaskSlot::new)
+            .collect();
+        self.claim_all(parts.len(), |ci| {
+            let base = ci * chunk;
+            let mut part = parts[ci].lock();
+            let (in_chunk, out_chunk) = &mut *part;
+            for (j, (item, slot)) in in_chunk.iter_mut().zip(out_chunk.iter_mut()).enumerate() {
+                *slot = Some(f(base + j, item));
             }
         });
+        drop(parts);
         out.into_iter()
-            .map(|slot| slot.expect("every slot is written by exactly one worker"))
+            .map(|slot| slot.expect("every slot is written by exactly one chunk"))
             .collect()
     }
 
@@ -410,14 +706,13 @@ impl Scheduler {
     /// tasks whose output is independent of the executing worker (each
     /// task owns its whole state). With one worker (or at most one
     /// ready task) the epoch runs inline, in `ready` order, without
-    /// spawning or allocating — the warm fleet path.
+    /// waking a helper — and no path allocates.
     pub fn dispatch<T, F>(&self, slots: &[TaskSlot<T>], ready: &[usize], run: F)
     where
         T: Send,
         F: Fn(usize, &mut T) + Sync,
     {
-        let steals = self.dispatch_phase(slots, ready, &run);
-        self.account(ready.len(), steals);
+        self.dispatch_phased(slots, &[ready], run);
     }
 
     /// One epoch of *phased* work-stealing dispatch: the phases run
@@ -429,12 +724,13 @@ impl Scheduler {
     /// uses: each phase is one priority class's ready list, so a
     /// realtime session can never be delayed behind best-effort work,
     /// yet workers still steal freely inside a class. The barrier
-    /// between phases is the scoped-thread join itself. The whole call
-    /// accounts as **one** scheduling epoch (tasks and steals summed
-    /// over the phases); empty phases cost nothing. With one worker
-    /// every phase runs inline in ready order — phased serial dispatch
-    /// is exactly concatenated serial dispatch, which is what makes
-    /// fleet accounting worker-count invariant.
+    /// between phases is the pool's per-phase barrier: the caller
+    /// publishes phase `p + 1` only after every helper has left phase
+    /// `p`. The whole call accounts as **one** scheduling epoch (tasks
+    /// and steals summed over the phases); empty phases wake no one.
+    /// With one worker every phase runs inline in ready order — phased
+    /// serial dispatch is exactly concatenated serial dispatch, which
+    /// is what makes fleet accounting worker-count invariant.
     pub fn dispatch_phased<T, F>(&self, slots: &[TaskSlot<T>], phases: &[&[usize]], run: F)
     where
         T: Send,
@@ -444,53 +740,12 @@ impl Scheduler {
         let mut steals = 0_u64;
         for ready in phases {
             tasks += ready.len();
-            steals += self.dispatch_phase(slots, ready, &run);
+            steals += self.claim_all(ready.len(), |k| {
+                let idx = ready[k];
+                run(idx, &mut slots[idx].lock());
+            });
         }
         self.account(tasks, steals);
-    }
-
-    /// Runs one dispatch phase (shared by [`Scheduler::dispatch`] and
-    /// [`Scheduler::dispatch_phased`]) and returns its steal count.
-    fn dispatch_phase<T, F>(&self, slots: &[TaskSlot<T>], ready: &[usize], run: &F) -> u64
-    where
-        T: Send,
-        F: Fn(usize, &mut T) + Sync,
-    {
-        let n = ready.len();
-        let workers = self.workers.get().min(n);
-        if workers <= 1 {
-            for &idx in ready {
-                run(idx, &mut slots[idx].lock());
-            }
-            return 0;
-        }
-        // Fair share per worker; claims beyond it are steals.
-        let share = n.div_ceil(workers);
-        let cursor = AtomicUsize::new(0);
-        let stolen = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            let cursor = &cursor;
-            let stolen = &stolen;
-            for _ in 0..workers {
-                scope.spawn(move || {
-                    let mut claimed = 0_u64;
-                    loop {
-                        let k = cursor.fetch_add(1, Ordering::Relaxed);
-                        if k >= n {
-                            break;
-                        }
-                        claimed += 1;
-                        let idx = ready[k];
-                        run(idx, &mut slots[idx].lock());
-                    }
-                    let over = claimed.saturating_sub(share as u64);
-                    if over > 0 {
-                        stolen.fetch_add(over, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        stolen.load(Ordering::Relaxed)
     }
 }
 
@@ -806,6 +1061,19 @@ mod tests {
         *slot.get_mut() += 1;
         *slot.lock() += 1;
         assert_eq!(slot.into_inner(), 7);
+    }
+
+    /// The pool's threads must not cost the scheduler its auto traits:
+    /// it is shared across threads (the process-wide instance is a
+    /// `static`) and used on both sides of `catch_unwind`.
+    #[test]
+    fn scheduler_is_shareable_and_unwind_safe() {
+        fn assert_traits<T>()
+        where
+            T: Send + Sync + std::panic::UnwindSafe + std::panic::RefUnwindSafe,
+        {
+        }
+        assert_traits::<Scheduler>();
     }
 
     #[test]

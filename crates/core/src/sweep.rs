@@ -3,16 +3,17 @@
 //! The experiments in Figs. 5–7 and 10 are all slices of one product
 //! space: *SoC anchor × scaling regime × channel count × communication
 //! efficiency*. [`SweepGrid`] names that product space once, enumerates
-//! it in a fixed row-major order, and fans evaluation out over scoped
-//! worker threads. Results always come back in grid order regardless of
-//! the worker count, so sweep output (and anything derived from it,
-//! such as CSV artifacts) is byte-for-byte reproducible.
+//! it in a fixed row-major order, and fans evaluation out over the
+//! shared scheduler's worker pool. Results always come back in grid
+//! order regardless of the worker count, so sweep output (and anything
+//! derived from it, such as CSV artifacts) is byte-for-byte
+//! reproducible.
 //!
 //! Three layers are exposed:
 //!
 //! * [`crate::pool::par_map`] — the generic deterministic fan-out
 //!   primitive (re-exported here as [`par_map`] for compatibility):
-//!   map a function over a slice on `n` scoped threads, preserving
+//!   map a function over a slice split into `n` chunks, preserving
 //!   order. The sweep engine shares it with batched DNN inference and
 //!   the block-sampled Monte-Carlo BER path.
 //! * [`SweepGrid::map`] / [`SweepGrid::map_with_threads`] — enumerate

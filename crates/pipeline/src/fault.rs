@@ -679,6 +679,29 @@ mod tests {
         assert_eq!(faults.lost + faults.detected + faults.naks, 0);
     }
 
+    /// Regression: a session evicted after fewer frames than the ARQ
+    /// window used to lose its whole stream at [`Pipeline::finish`] —
+    /// the link reported `Pending` during warm-up and the drain stopped.
+    #[test]
+    fn finish_drains_a_stream_shorter_than_the_link_window() {
+        let window = 16;
+        let mut p = Pipeline::new()
+            .with_stage(PacketizeStage::new(10).unwrap())
+            .with_stage(LinkStage::new(ArqConfig::selective_repeat(window), None, 2).unwrap());
+        for k in 0..8_u16 {
+            let codes = [k, k + 1, k + 2];
+            assert!(p.push(Frame::Codes(&codes)).unwrap().is_none(), "warm-up");
+        }
+        assert_eq!(p.finish().unwrap(), 8, "finish plays every buffered frame");
+        assert_eq!(
+            p.last_output().unwrap().as_frame(),
+            Frame::Codes(&[7, 8, 9][..])
+        );
+        assert_eq!(p.finish().unwrap(), 0, "nothing is left buffered");
+        let faults = p.telemetry()[1].faults.unwrap();
+        assert_eq!(faults.lost + faults.detected + faults.naks, 0);
+    }
+
     #[test]
     fn conceal_policies_fill_gaps_as_documented() {
         let mut out = FrameBuf::new();

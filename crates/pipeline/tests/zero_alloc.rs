@@ -221,86 +221,110 @@ fn warm_instrumented_five_stage_chain_is_allocation_free() {
 }
 
 /// The serving tentpole's memory contract: a warm [`Fleet`] epoch —
-/// ready-list scan, serial dispatch, real steps, load shedding into
+/// ready-list scan, phased dispatch, real steps, load shedding into
 /// concealment, backpressure rejections, and metric recording — runs
 /// with **zero** heap allocations.
 ///
-/// The proof is on a one-worker scheduler deliberately: multi-worker
-/// epochs spawn scoped threads (which allocate stacks by design), but
-/// the per-session step path they execute is exactly this serial path,
-/// so proving the serial epoch allocation-free proves the work itself
-/// is.
+/// The proof covers the serial path (one worker, everything inline)
+/// and the pooled multi-worker paths (2 and 4 workers): the
+/// scheduler's helper threads are started once at construction, and
+/// handing them a phase — publish, wake, barrier — allocates nothing.
+/// A realtime session alongside the two best-effort ones gives every
+/// epoch two dispatch phases, so the barrier between them is inside
+/// the measured region too.
 #[test]
 fn warm_fleet_epoch_is_allocation_free() {
     use std::num::{NonZeroU32, NonZeroUsize};
 
     let _guard = MEASURE.lock().unwrap();
-    let registry = mindful_core::obs::Registry::new();
-    let sched = mindful_core::pool::Scheduler::new(NonZeroUsize::MIN);
-    let config = FleetConfig {
-        capacity: NonZeroUsize::new(8).unwrap(),
-        quantum: NonZeroU32::new(4).unwrap(),
-        max_backlog: 16,
-        ..FleetConfig::default()
-    };
-    let mut fleet = Fleet::observed(&sched, config, &registry, "zfleet");
-    // One plain chain (backlogged under pressure, rejections at the
-    // cap) and one sheddable chain (gap markers into its concealer
-    // every epoch): both warm paths sit inside the measured region.
-    let plain = fleet
-        .admit(SessionSpec::new(
-            Pipeline::new()
-                .with_stage(SenseStage::new(2, 16, 10, 3, IntentSchedule::FigureEight).unwrap())
-                .with_stage(PacketizeStage::new(10).unwrap()),
-        ))
-        .unwrap();
-    let shedding = fleet
-        .admit(
-            SessionSpec::new(
+    for workers in [1, 2, 4] {
+        let registry = mindful_core::obs::Registry::new();
+        let sched = mindful_core::pool::Scheduler::new(NonZeroUsize::new(workers).unwrap());
+        let config = FleetConfig {
+            capacity: NonZeroUsize::new(8).unwrap(),
+            quantum: NonZeroU32::new(4).unwrap(),
+            max_backlog: 16,
+            ..FleetConfig::default()
+        };
+        let mut fleet = Fleet::observed(&sched, config, &registry, "zfleet");
+        // One plain chain (backlogged under pressure, rejections at the
+        // cap), one sheddable chain (gap markers into its concealer
+        // every epoch), and one realtime chain in a phase of its own:
+        // every warm path sits inside the measured region.
+        let plain = fleet
+            .admit(SessionSpec::new(
                 Pipeline::new()
-                    .with_stage(SenseStage::new(2, 16, 10, 4, IntentSchedule::FigureEight).unwrap())
-                    .with_stage(ConcealStage::new(4, DegradePolicy::HoldLast).unwrap()),
+                    .with_stage(SenseStage::new(2, 16, 10, 3, IntentSchedule::FigureEight).unwrap())
+                    .with_stage(PacketizeStage::new(10).unwrap()),
+            ))
+            .unwrap();
+        let shedding = fleet
+            .admit(
+                SessionSpec::new(
+                    Pipeline::new()
+                        .with_stage(
+                            SenseStage::new(2, 16, 10, 4, IntentSchedule::FigureEight).unwrap(),
+                        )
+                        .with_stage(ConcealStage::new(4, DegradePolicy::HoldLast).unwrap()),
+                )
+                .with_shed(1, FrameKind::Codes),
             )
-            .with_shed(1, FrameKind::Codes),
-        )
-        .unwrap();
+            .unwrap();
+        let realtime = fleet
+            .admit(
+                SessionSpec::new(
+                    Pipeline::new()
+                        .with_stage(
+                            SenseStage::new(2, 16, 10, 5, IntentSchedule::FigureEight).unwrap(),
+                        )
+                        .with_stage(PacketizeStage::new(10).unwrap()),
+                )
+                .with_class(PriorityClass::Realtime),
+            )
+            .unwrap();
 
-    // Warm-up: grow the ready list, pipeline buffers, and backlog to
-    // steady state (the plain session saturates its bound and starts
-    // rejecting; the sheddable one sheds every epoch).
-    for _ in 0..5 {
-        fleet.request(plain, 8).unwrap();
-        fleet.request(shedding, 8).unwrap();
-        fleet.drive_epoch().unwrap();
-    }
-
-    let allocs = allocations_during(|| {
-        for _ in 0..8 {
+        // Warm-up: grow the ready lists, pipeline buffers, and backlog
+        // to steady state (the plain session saturates its bound and
+        // starts rejecting; the sheddable one sheds every epoch).
+        for _ in 0..5 {
             fleet.request(plain, 8).unwrap();
             fleet.request(shedding, 8).unwrap();
+            fleet.request(realtime, 4).unwrap();
             fleet.drive_epoch().unwrap();
         }
-    });
-    assert_eq!(
-        allocs, 0,
-        "a warm fleet epoch must not allocate: scheduling, stepping, \
-         shedding, and metric recording all reuse warm state"
-    );
 
-    // The degraded and rejected paths really ran inside the measured
-    // region.
-    let shed_report = fleet.evict(shedding).unwrap();
-    assert!(shed_report.shed >= 8 * 4, "every measured epoch shed");
-    let plain_report = fleet.evict(plain).unwrap();
-    assert!(
-        plain_report.rejected > 0,
-        "backpressure rejected at the cap"
-    );
-    assert_eq!(
-        plain_report.backlog,
-        config.max_backlog - config.quantum.get(),
-        "steady state: the bound fills each round, one quantum drains"
-    );
+        let allocs = allocations_during(|| {
+            for _ in 0..8 {
+                fleet.request(plain, 8).unwrap();
+                fleet.request(shedding, 8).unwrap();
+                fleet.request(realtime, 4).unwrap();
+                fleet.drive_epoch().unwrap();
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "a warm fleet epoch on {workers} workers must not allocate: \
+             scheduling, pool hand-off, stepping, shedding, and metric \
+             recording all reuse warm state"
+        );
+
+        // The degraded and rejected paths really ran inside the measured
+        // region.
+        let shed_report = fleet.evict(shedding).unwrap();
+        assert!(shed_report.shed >= 8 * 4, "every measured epoch shed");
+        let plain_report = fleet.evict(plain).unwrap();
+        assert!(
+            plain_report.rejected > 0,
+            "backpressure rejected at the cap"
+        );
+        assert_eq!(
+            plain_report.backlog,
+            config.max_backlog - config.quantum.get(),
+            "steady state: the bound fills each round, one quantum drains"
+        );
+        assert_eq!(fleet.evict(realtime).unwrap().steps, 13 * 4);
+        assert_eq!(sched.stats().epochs, 13, "{workers} workers");
+    }
 }
 
 /// The secure-link chain of the authenticated-framing PR: sense →

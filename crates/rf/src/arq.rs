@@ -278,13 +278,17 @@ impl ArqReceiver {
     /// Declares end of stream at `last_seq` (the final transmitted
     /// sequence number): any numbers beyond the frontier become
     /// detected gaps so the drain phase plays out — and accounts for —
-    /// every transmitted frame. No-op if already closed or never
-    /// started.
+    /// every transmitted frame. Closing also ends a playout warm-up
+    /// still in progress: no further packet can arrive to fill the
+    /// delay, so a stream shorter than the window drains from the next
+    /// poll instead of being held back. No-op if already closed or
+    /// never started.
     pub fn close(&mut self, last_seq: u16) {
         if !self.started || self.closed {
             return;
         }
         self.closed = true;
+        self.warmup_left = 0;
         let missing = last_seq.wrapping_sub(self.highest);
         if usize::from(missing) <= self.config.window + 1 {
             self.flag_gaps(missing);
@@ -820,6 +824,35 @@ mod tests {
         assert_eq!(played, (0..100).collect::<Vec<u16>>());
         let stats = link.stats();
         assert_eq!(stats.delivered, 100);
+        assert_eq!(stats.lost + stats.gaps_detected + stats.naks_sent, 0);
+    }
+
+    /// Regression: a stream shorter than the playout window used to be
+    /// dropped at end of stream — the drain stopped at the first
+    /// warm-up poll, so nothing was played and no gap was marked.
+    #[test]
+    fn a_stream_shorter_than_the_window_drains_completely() {
+        let window = 16;
+        let mut link = ArqLink::new(ArqConfig::selective_repeat(window), None, 2).unwrap();
+        let mut out = Vec::new();
+        for seq in 0..8_u16 {
+            let (_, wire) = frame(seq);
+            assert!(
+                link.step_into(&wire, &mut out).unwrap().is_none(),
+                "warm-up"
+            );
+        }
+        assert_eq!(link.buffered(), 8);
+        let mut played = Vec::new();
+        while let Some(p) = link.finish_into(&mut out) {
+            assert!(p.delivered);
+            assert_eq!(out, frame(p.sequence).0, "playout of seq {}", p.sequence);
+            played.push(p.sequence);
+        }
+        assert_eq!(played, (0..8).collect::<Vec<u16>>());
+        assert_eq!(link.buffered(), 0);
+        let stats = link.stats();
+        assert_eq!(stats.delivered, 8);
         assert_eq!(stats.lost + stats.gaps_detected + stats.naks_sent, 0);
     }
 
