@@ -9,7 +9,9 @@
 //! keeps authentication affordable inside the implant's power
 //! envelope — and a composite-attack run must accept zero forged or
 //! replayed frames. Both land in `results/bench/BENCH_secure.json` so
-//! a regression shows up as a number, not a feeling. Set
+//! a regression shows up as a number, not a feeling, next to per-frame
+//! rows for the telemetry-path kernels around the link (packetize,
+//! firewall, conceal, conceal of a gap) and the host they ran on. Set
 //! `MINDFUL_BENCH_QUICK=1` (as CI does) to shrink iteration counts.
 
 use std::hint::black_box;
@@ -17,10 +19,14 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use mindful_pipeline::{
+    ConcealStage, DegradePolicy, FirewallConfig, FirewallStage, Frame, FrameBuf, Stage,
+};
 use mindful_rf::arq::{ArqConfig, ArqLink};
 use mindful_rf::auth::{AuthConfig, AuthKey, AuthStats};
 use mindful_rf::fault::{Adversary, AttackConfig, FaultConfig, FaultPlan, WireFaultInjector};
-use mindful_rf::packet::packetize;
+use mindful_rf::packet::{packetize, packetize_into};
+use mindful_signal::interface::NeuralInterface;
 
 /// Channels per frame (one 32×32 electrode tile — the headline array).
 const CHANNELS: usize = 1024;
@@ -122,6 +128,68 @@ fn median_ns(iters: usize, mut f: impl FnMut()) -> f64 {
     times[times.len() / 2]
 }
 
+/// Recorded 1024-channel neural frames (a 32×32 tile), the stream the
+/// telemetry kernels see in a served session.
+fn neural_codes(count: usize) -> Vec<Vec<u16>> {
+    let mut ni = NeuralInterface::new(32, 600, SAMPLE_BITS, 5).expect("interface builds");
+    ni.record_trajectory(count)
+        .expect("trajectory records")
+        .into_iter()
+        .map(|f| f.samples)
+        .collect()
+}
+
+/// Median nanoseconds per frame of the telemetry-path kernels at
+/// [`CHANNELS`] channels: `(packetize, firewall, conceal, conceal_gap)`.
+/// The firewall is timed past its warm-up, so every frame is scored;
+/// `conceal` passes a good codes frame through and `conceal_gap`
+/// synthesizes a whole frame under hold-last.
+fn kernel_ns_per_frame(iters: usize, codes: &[Vec<u16>]) -> (f64, f64, f64, f64) {
+    let n = codes.len() as f64;
+    let mut wire = Vec::new();
+    let packetize_ns = median_ns(iters, || {
+        for (seq, frame) in codes.iter().enumerate() {
+            packetize_into(seq as u16, frame, SAMPLE_BITS, &mut wire).expect("packetize");
+            black_box(&wire);
+        }
+    }) / n;
+
+    let mut out = FrameBuf::new();
+    let mut firewall = FirewallStage::new(CHANNELS, FirewallConfig::default()).expect("firewall");
+    for frame in codes.iter().cycle().take(2 * codes.len()) {
+        firewall
+            .process(&Frame::Codes(frame), &mut out)
+            .expect("screen");
+    }
+    let firewall_ns = median_ns(iters, || {
+        for frame in codes {
+            firewall
+                .process(&Frame::Codes(frame), &mut out)
+                .expect("screen");
+            black_box(out.as_frame());
+        }
+    }) / n;
+
+    let mut conceal = ConcealStage::new(CHANNELS, DegradePolicy::HoldLast).expect("concealer");
+    let conceal_ns = median_ns(iters, || {
+        for frame in codes {
+            conceal
+                .process(&Frame::Codes(frame), &mut out)
+                .expect("conceal");
+            black_box(out.as_frame());
+        }
+    }) / n;
+    let conceal_gap_ns = median_ns(iters, || {
+        for _ in codes {
+            conceal
+                .process(&Frame::Codes(&[]), &mut out)
+                .expect("conceal");
+            black_box(out.as_frame());
+        }
+    }) / n;
+    (packetize_ns, firewall_ns, conceal_ns, conceal_gap_ns)
+}
+
 fn bench_secure(c: &mut Criterion) {
     let wires = wires(frames());
     let mut group = c.benchmark_group("secure");
@@ -192,6 +260,22 @@ fn report_secure_acceptance(_c: &mut Criterion) {
          {MAX_CLEAN_OVERHEAD}x budget"
     );
 
+    // Per-frame rows for the kernels around the link (no gate).
+    let codes = neural_codes(if quick() { 64 } else { 128 });
+    let (packetize_ns, firewall_ns, conceal_ns, conceal_gap_ns) =
+        kernel_ns_per_frame(iters, &codes);
+    let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let simd = mindful_dnn::simd::level();
+    println!(
+        "secure/telemetry kernels per {CHANNELS}-ch frame: packetize {:.2} us, \
+         firewall {:.2} us, conceal {:.2} us, conceal gap {:.2} us \
+         ({host} cores, {simd})",
+        packetize_ns / 1e3,
+        firewall_ns / 1e3,
+        conceal_ns / 1e3,
+        conceal_gap_ns / 1e3,
+    );
+
     write_artifact(&format!(
         "{{\n  \"bench\": \"secure\",\n  \"quick\": {},\n  \
          \"channels\": {CHANNELS},\n  \"frames\": {sent},\n  \
@@ -201,8 +285,15 @@ fn report_secure_acceptance(_c: &mut Criterion) {
          \"attacked_ns_per_run\": {attacked_ns:.0},\n  \
          \"clean_crypto_overhead\": {overhead:.3},\n  \
          \"attack_rate\": {ATTACK_RATE},\n  \
-         \"forged_accepted\": 0,\n  \"replayed_accepted\": 0\n}}\n",
+         \"forged_accepted\": 0,\n  \"replayed_accepted\": 0,\n  \
+         \"host_parallelism\": {host},\n  \"simd_level\": \"{simd}\",\n  \
+         \"kernel_frames\": {},\n  \
+         \"packetize_ns_per_frame\": {packetize_ns:.0},\n  \
+         \"firewall_ns_per_frame\": {firewall_ns:.0},\n  \
+         \"conceal_ns_per_frame\": {conceal_ns:.0},\n  \
+         \"conceal_gap_ns_per_frame\": {conceal_gap_ns:.0}\n}}\n",
         quick(),
+        codes.len(),
     ));
 }
 

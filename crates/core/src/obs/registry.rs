@@ -6,6 +6,7 @@
 //! shards into an owned, deterministic [`Snapshot`].
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::{Arc, Mutex};
 
 use super::metrics::{Counter, Gauge, Histogram, HistogramState, BUCKETS};
@@ -93,6 +94,29 @@ impl Registry {
             Metric::Histogram(h) => h,
             other => panic!("metric `{name}` is a {}, not a histogram", other.kind()),
         }
+    }
+
+    /// Unregisters every metric whose name starts with `prefix` and
+    /// returns how many went. Handles already given out keep working;
+    /// they simply stop appearing in scrapes, and asking for the name
+    /// again registers a fresh metric.
+    ///
+    /// Names are sorted, so the family is one contiguous range: the
+    /// removal walks that range only, not the whole registry. End a
+    /// family prefix with its separator (`"serve.s1."`) so it does not
+    /// also match `serve.s10.*`.
+    pub fn remove_prefix(&self, prefix: &str) -> usize {
+        let mut metrics = self.inner.metrics.lock().expect("registry lock poisoned");
+        let doomed: Vec<String> = metrics
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .map(|(name, _)| name)
+            .take_while(|name| name.starts_with(prefix))
+            .cloned()
+            .collect();
+        for name in &doomed {
+            metrics.remove(name);
+        }
+        doomed.len()
     }
 
     /// Number of registered metrics.
@@ -275,5 +299,40 @@ mod tests {
         let r2 = r.clone();
         r.counter("n").increment();
         assert_eq!(r2.snapshot().counter("n"), Some(1));
+    }
+
+    #[test]
+    fn remove_prefix_drops_exactly_one_family() {
+        let r = Registry::new();
+        let kept = r.counter("serve.s10.frames");
+        for name in ["serve.s1.a", "serve.s1.b.c", "serve.s1.z"] {
+            r.counter(name).increment();
+        }
+        r.gauge("serve.s1").set(3);
+        r.histogram("serve.s2.lat").record(5);
+        r.counter("serve.steps").add(4);
+        assert_eq!(r.remove_prefix("serve.s1."), 3);
+        assert_eq!(r.remove_prefix("serve.s1."), 0, "already gone");
+        let s = r.snapshot();
+        let names: Vec<&str> = s
+            .counters
+            .iter()
+            .map(|c| c.name.as_str())
+            .chain(s.gauges.iter().map(|g| g.name.as_str()))
+            .chain(s.histograms.iter().map(|h| h.name.as_str()))
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "serve.s10.frames",
+                "serve.steps",
+                "serve.s1",
+                "serve.s2.lat"
+            ]
+        );
+        // Outstanding handles still record; a re-registration is fresh.
+        kept.increment();
+        assert_eq!(r.snapshot().counter("serve.s10.frames"), Some(1));
+        assert_eq!(r.counter("serve.s1.a").value(), 0);
     }
 }

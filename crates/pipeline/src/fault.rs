@@ -459,17 +459,42 @@ impl ConcealStage {
         }
     }
 
-    /// Core concealment over the f64 scratch: `None` input means a
-    /// gap; `Some` is repaired channel-wise. Leaves the result in
-    /// `self.scratch` and rolls the history forward.
-    fn conceal(&mut self, gap: bool) {
-        if gap {
-            self.degraded += 1;
-            self.scratch.clear();
-            for c in 0..self.channels {
-                self.scratch.push(self.predict(c));
+    /// Rolls the history forward by one emitted frame: `older ← last ←
+    /// frame`. The concealed frame itself enters the history so a run
+    /// of consecutive gaps continues the policy's trajectory.
+    fn roll<T: Copy + Into<f64>>(&mut self, frame: &[T]) {
+        core::mem::swap(&mut self.older, &mut self.last);
+        for (slot, &v) in self.last.iter_mut().zip(frame) {
+            *slot = v.into();
+        }
+        self.seen = (self.seen + 1).min(2);
+    }
+
+    /// Conceals a gap: synthesizes a whole frame under the policy —
+    /// chosen once per frame — straight into the history, where
+    /// `self.last` then holds it.
+    fn synthesize(&mut self) {
+        self.degraded += 1;
+        match (self.policy, self.seen) {
+            (DegradePolicy::ZeroFill, _) | (_, 0) => self.older.fill(0.0),
+            (DegradePolicy::HoldLast, _) | (DegradePolicy::Interpolate, 1) => {
+                self.older.copy_from_slice(&self.last);
             }
-        } else if self.scratch.iter().any(|v| !v.is_finite()) {
+            (DegradePolicy::Interpolate, _) => {
+                for (older, &last) in self.older.iter_mut().zip(&self.last) {
+                    *older = 2.0 * last - *older;
+                }
+            }
+        }
+        core::mem::swap(&mut self.older, &mut self.last);
+        self.seen = (self.seen + 1).min(2);
+    }
+
+    /// The NaN-quarantine guard over a real-valued frame loaded into
+    /// `self.scratch`: repairs exactly its non-finite channels under the
+    /// policy, then rolls the repaired frame into the history.
+    fn quarantine(&mut self) {
+        if self.scratch.iter().any(|v| !v.is_finite()) {
             self.quarantined += 1;
             for c in 0..self.channels {
                 if !self.scratch[c].is_finite() {
@@ -477,16 +502,54 @@ impl ConcealStage {
                 }
             }
         }
-        // Roll history: older ← last ← emitted frame. The concealed
-        // frame itself enters the history so a run of consecutive
-        // gaps continues the policy's trajectory.
-        core::mem::swap(&mut self.older, &mut self.last);
-        self.last.copy_from_slice(&self.scratch);
-        self.seen = (self.seen + 1).min(2);
+        let frame = core::mem::take(&mut self.scratch);
+        self.roll(&frame);
+        self.scratch = frame;
     }
 
+    /// Conceals an integer frame. `Codes` and `Counts` cannot carry a
+    /// non-finite channel, so a good frame is emitted as a copy. A gap
+    /// is synthesized in f64, where an integer stream's history stays
+    /// integral, and leaves through `cast`: the saturating `as`, which
+    /// on integral values is exactly round-then-clamp into the range.
+    fn conceal_integers<T: Copy + Into<f64>>(
+        &mut self,
+        frame: &[T],
+        out: &mut Vec<T>,
+        cast: impl Fn(f64) -> T,
+    ) {
+        if frame.is_empty() {
+            self.synthesize();
+            out.extend(self.last.iter().map(|&v| cast(v)));
+        } else {
+            self.roll(frame);
+            out.extend_from_slice(frame);
+        }
+    }
+
+    /// Conceals a real-valued frame: a gap is synthesized, a good frame
+    /// goes through the NaN-quarantine guard in f64.
+    fn conceal_reals<T: Copy + Into<f64>>(
+        &mut self,
+        frame: &[T],
+        out: &mut Vec<T>,
+        cast: impl Fn(f64) -> T,
+    ) {
+        let emitted = if frame.is_empty() {
+            self.synthesize();
+            &self.last
+        } else {
+            self.scratch.clear();
+            self.scratch.extend(frame.iter().map(|&v| v.into()));
+            self.quarantine();
+            &self.scratch
+        };
+        out.extend(emitted.iter().map(|&v| cast(v)));
+    }
+
+    /// Width check for a frame; an empty frame is the gap marker.
     fn check_width(&self, len: usize) -> Result<()> {
-        if len != self.channels {
+        if len != 0 && len != self.channels {
             return Err(DecodeError::ShapeMismatch {
                 expected: self.channels,
                 actual: len,
@@ -503,51 +566,22 @@ impl Stage for ConcealStage {
     }
 
     fn process(&mut self, input: &Frame<'_>, out: &mut FrameBuf) -> Result<StageOutput> {
-        let gap = input.is_empty();
-        // Load the input into the f64 scratch (skipped for a gap —
-        // conceal() synthesizes the frame instead).
-        self.scratch.clear();
         match input {
             Frame::Codes(codes) => {
-                if !gap {
-                    self.check_width(codes.len())?;
-                    self.scratch.extend(codes.iter().map(|&c| f64::from(c)));
-                }
-                self.conceal(gap);
-                out.begin_codes().extend(
-                    self.scratch
-                        .iter()
-                        .map(|&v| libm_round_clamp(v, f64::from(u16::MAX)) as u16),
-                );
+                self.check_width(codes.len())?;
+                self.conceal_integers(codes, out.begin_codes(), |v| v as u16);
             }
             Frame::Counts(counts) => {
-                if !gap {
-                    self.check_width(counts.len())?;
-                    self.scratch.extend(counts.iter().map(|&c| f64::from(c)));
-                }
-                self.conceal(gap);
-                out.begin_counts().extend(
-                    self.scratch
-                        .iter()
-                        .map(|&v| libm_round_clamp(v, f64::from(u32::MAX)) as u32),
-                );
+                self.check_width(counts.len())?;
+                self.conceal_integers(counts, out.begin_counts(), |v| v as u32);
             }
             Frame::Values(values) => {
-                if !gap {
-                    self.check_width(values.len())?;
-                    self.scratch.extend_from_slice(values);
-                }
-                self.conceal(gap);
-                out.begin_values().extend_from_slice(&self.scratch);
+                self.check_width(values.len())?;
+                self.conceal_reals(values, out.begin_values(), |v| v);
             }
             Frame::Activations(values) => {
-                if !gap {
-                    self.check_width(values.len())?;
-                    self.scratch.extend(values.iter().map(|&v| f64::from(v)));
-                }
-                self.conceal(gap);
-                out.begin_activations()
-                    .extend(self.scratch.iter().map(|&v| v as f32));
+                self.check_width(values.len())?;
+                self.conceal_reals(values, out.begin_activations(), |v| v as f32);
             }
             other => {
                 return Err(PipelineError::UnexpectedFrame {
@@ -566,12 +600,6 @@ impl Stage for ConcealStage {
             ..FaultTelemetry::default()
         })
     }
-}
-
-/// Round to nearest and clamp into `[0, max]` — extrapolation can
-/// briefly leave the integer kinds' representable range.
-fn libm_round_clamp(v: f64, max: f64) -> f64 {
-    v.round().clamp(0.0, max)
 }
 
 #[cfg(test)]

@@ -227,6 +227,16 @@ pub struct FirewallStage {
     /// Latest coherence score in `[0, 1]`.
     coherence: f64,
     scratch: Vec<f64>,
+    /// Per-channel γ penalties of the frame being scored.
+    penalties: Vec<f64>,
+}
+
+/// A frame's variance (the φ statistic) and mean absolute step from its
+/// predecessor (the τ statistic), shared by scoring and training.
+#[derive(Debug, Clone, Copy)]
+struct Moments {
+    var: f64,
+    step: f64,
 }
 
 impl FirewallStage {
@@ -257,6 +267,7 @@ impl FirewallStage {
             firewalled: 0,
             coherence: 1.0,
             scratch: Vec::new(),
+            penalties: Vec::new(),
         })
     }
 
@@ -280,72 +291,80 @@ impl FirewallStage {
         ((z2 - tol) / tol).max(0.0)
     }
 
-    /// Scores `self.scratch` against the current statistics. Non-finite
-    /// channels are maximally incoherent (score zero) — the NaN screen
-    /// in front of the NaN screen.
-    fn score(&self) -> f64 {
-        let mut gamma = 0.0;
-        let mut sum = 0.0;
-        for (c, stat) in self.gain.iter().enumerate() {
-            let x = self.scratch[c];
-            if !x.is_finite() {
-                return 0.0;
-            }
-            gamma += Self::penalty(stat.z_squared(x), self.config.gain_tol);
-            sum += x;
+    /// The frame's variance and its mean absolute step from `prev`,
+    /// from `Σx` and `Σ|x − prev|` accumulated channel by channel.
+    fn moments(&self, sum: f64, step: f64) -> Moments {
+        let n = self.channels as f64;
+        let mean = sum / n;
+        let mut var = 0.0;
+        for &x in &self.scratch {
+            var += (x - mean) * (x - mean);
         }
-        gamma /= self.channels as f64;
-        let mean = sum / self.channels as f64;
-        let var = self
-            .scratch
-            .iter()
-            .map(|&x| (x - mean) * (x - mean))
-            .sum::<f64>()
-            / self.channels as f64;
-        let phi = Self::penalty(self.power.z_squared(var), self.config.stat_tol);
-        let tau = if !self.tau_valid {
-            // No immediate predecessor: no step to judge.
-            0.0
-        } else {
-            let step = self
-                .scratch
-                .iter()
-                .zip(&self.prev)
-                .map(|(&x, &p)| (x - p).abs())
-                .sum::<f64>()
-                / self.channels as f64;
-            Self::penalty(self.rate.z_squared(step), self.config.stat_tol)
-        };
-        (-(gamma + phi + tau)).exp()
+        Moments {
+            var: var / n,
+            step: step / n,
+        }
     }
 
-    /// Trains the statistics on the (accepted) frame in `self.scratch`
-    /// and rolls it into the rate-of-change history.
-    fn train(&mut self) {
-        let alpha = self.config.alpha;
-        let mut sum = 0.0;
-        for (c, stat) in self.gain.iter_mut().enumerate() {
-            let x = self.scratch[c];
-            stat.update(x, alpha);
+    /// The moments of `self.scratch` alone, for a frame that trains
+    /// without being scored (warmup).
+    fn unscored_moments(&self) -> Moments {
+        let (mut sum, mut step) = (0.0, 0.0);
+        for (&x, &p) in self.scratch.iter().zip(&self.prev) {
             sum += x;
+            step += (x - p).abs();
         }
-        let mean = sum / self.channels as f64;
-        let var = self
-            .scratch
-            .iter()
-            .map(|&x| (x - mean) * (x - mean))
-            .sum::<f64>()
-            / self.channels as f64;
-        self.power.update(var, alpha);
+        self.moments(sum, step)
+    }
+
+    /// Scores `self.scratch` against the current statistics and returns
+    /// the score with the frame's moments, which [`Self::train`] reuses
+    /// if the frame is accepted. Non-finite channels are maximally
+    /// incoherent (score zero, no moments) — the NaN screen in front of
+    /// the NaN screen.
+    ///
+    /// The per-channel γ penalties are computed branch-free into
+    /// `self.penalties` first; γ, `Σx` and the τ step then accumulate in
+    /// one pass with three independent sums, each in channel order, so
+    /// every score is bit-identical to summing them one pass at a time.
+    fn score(&mut self) -> (f64, Option<Moments>) {
+        if !self.scratch.iter().fold(true, |ok, x| ok & x.is_finite()) {
+            return (0.0, None);
+        }
+        let tol = self.config.gain_tol;
+        self.penalties.resize(self.channels, 0.0);
+        for ((g, stat), &x) in self.penalties.iter_mut().zip(&self.gain).zip(&self.scratch) {
+            *g = Self::penalty(stat.z_squared(x), tol);
+        }
+        let (mut gamma, mut sum, mut step) = (0.0, 0.0, 0.0);
+        for ((&g, &x), &p) in self.penalties.iter().zip(&self.scratch).zip(&self.prev) {
+            gamma += g;
+            sum += x;
+            step += (x - p).abs();
+        }
+        let moments = self.moments(sum, step);
+        gamma /= self.channels as f64;
+        let phi = Self::penalty(self.power.z_squared(moments.var), self.config.stat_tol);
+        // No immediate predecessor: no step to judge.
+        let tau = if self.tau_valid {
+            Self::penalty(self.rate.z_squared(moments.step), self.config.stat_tol)
+        } else {
+            0.0
+        };
+        ((-(gamma + phi + tau)).exp(), Some(moments))
+    }
+
+    /// Trains the statistics on the (accepted) frame in `self.scratch`,
+    /// whose moments are `moments`, and rolls it into the rate-of-change
+    /// history.
+    fn train(&mut self, moments: Moments) {
+        let alpha = self.config.alpha;
+        for (stat, &x) in self.gain.iter_mut().zip(&self.scratch) {
+            stat.update(x, alpha);
+        }
+        self.power.update(moments.var, alpha);
         if self.tau_valid {
-            let step = self
-                .scratch
-                .iter()
-                .zip(&self.prev)
-                .map(|(&x, &p)| (x - p).abs())
-                .sum::<f64>()
-                / self.channels as f64;
-            self.rate.update(step, alpha);
+            self.rate.update(moments.step, alpha);
         }
         self.prev.copy_from_slice(&self.scratch);
         self.tau_valid = true;
@@ -358,16 +377,21 @@ impl FirewallStage {
     fn admit(&mut self) -> bool {
         if self.seen < self.config.warmup {
             self.coherence = 1.0;
-            self.train();
+            let moments = self.unscored_moments();
+            self.train(moments);
             return true;
         }
-        self.coherence = self.score();
-        if self.coherence < self.config.threshold {
+        let (coherence, moments) = self.score();
+        self.coherence = coherence;
+        if coherence < self.config.threshold {
             self.firewalled += 1;
             self.tau_valid = false;
             false
         } else {
-            self.train();
+            // A non-finite frame is only accepted under a zero threshold;
+            // it has no scored moments, so train computes its own.
+            let moments = moments.unwrap_or_else(|| self.unscored_moments());
+            self.train(moments);
             true
         }
     }

@@ -90,7 +90,9 @@
 //! Each admitted session is additionally instrumented as
 //! `{prefix}.s{id}.{stage-index}.{stage}.{metric}` via
 //! [`Pipeline::instrument`], so one registry scrape sees the whole
-//! fleet at both granularities. Without the crate's `obs` feature all
+//! fleet at both granularities. A session's family is retired with it
+//! at [`Fleet::evict`], so a churning fleet's registry does not grow
+//! with every admission. Without the crate's `obs` feature all
 //! recording compiles out, exactly like the per-stage instrumentation.
 //! When observability is off (an unobserved fleet, or the feature
 //! compiled out) and a session has no deadline budget, the per-step
@@ -580,6 +582,12 @@ impl<'a> Fleet<'a> {
     /// A fleet recording into `registry` under `prefix` (fleet metrics
     /// as `{prefix}.{metric}`, each admitted session instrumented under
     /// `{prefix}.s{id}`).
+    ///
+    /// A session's `{prefix}.s{id}.*` family lives exactly as long as
+    /// the session: [`Fleet::evict`] removes it from the registry, so
+    /// scrape a session's own metrics before evicting it. The
+    /// fleet-level family keeps every total, and a churning fleet's
+    /// registry stays the size of its live sessions.
     #[must_use]
     pub fn observed(
         scheduler: &'a Scheduler,
@@ -982,6 +990,11 @@ impl<'a> Fleet<'a> {
     /// flush their partial contents), and returns the final report
     /// with the drain's flushed-frame count.
     ///
+    /// On an observed fleet the drain is the last thing the session
+    /// records: its `{prefix}.s{id}.*` metric family is then removed
+    /// from the registry (the report and the fleet-level counters keep
+    /// the session's totals).
+    ///
     /// The session is removed even when the drain fails; a queued
     /// backlog is simply dropped (it was never run, and the `backlog`
     /// field of the report records how much).
@@ -1005,8 +1018,13 @@ impl<'a> Fleet<'a> {
             obs.evicted.increment();
             obs.sessions.set(self.index.len() as u64);
         }
-        let flushed = state.pipeline.finish()?;
-        Ok(state.report(flushed))
+        let flushed = state.pipeline.finish();
+        // Retire the session's metric family once the drain has
+        // recorded into it; the fleet-level counters keep the totals.
+        if let Some((registry, prefix)) = &self.observe {
+            registry.remove_prefix(&format!("{prefix}.s{id}.", id = id.raw()));
+        }
+        Ok(state.report(flushed?))
     }
 
     fn slot_of(&self, id: SessionId) -> Result<usize> {
@@ -1283,6 +1301,18 @@ mod tests {
         fleet.request(id, 8).unwrap();
         fleet.request(id, 8).unwrap(); // 8 rejected
         fleet.drive_epoch().unwrap();
+
+        // The session's own family lives until eviction: scrape first.
+        #[cfg(feature = "obs")]
+        {
+            let snap = registry.snapshot();
+            // Per-session prefix: the sense stage of session 0.
+            assert_eq!(snap.counter("serve.s0.0.sense.frames_in"), Some(2));
+            // Shed steps surface field-exactly on the session's conceal
+            // gauges.
+            let (degraded, _) = snap.gauge("serve.s0.1.conceal.faults.degraded").unwrap();
+            assert_eq!(degraded, 6);
+        }
         fleet.evict(id).unwrap();
 
         #[cfg(feature = "obs")]
@@ -1312,13 +1342,41 @@ mod tests {
             assert_eq!(snap.counter("serve.realtime.shed"), Some(0));
             assert_eq!(snap.histogram("serve.realtime.step_ns").unwrap().count, 0);
             assert_eq!(snap.counter("serve.interactive.steps"), Some(0));
-            // Per-session prefix: the sense stage of session 0.
-            assert_eq!(snap.counter("serve.s0.0.sense.frames_in"), Some(2));
-            // Shed steps surface field-exactly on the session's conceal
-            // gauges.
-            let (degraded, _) = snap.gauge("serve.s0.1.conceal.faults.degraded").unwrap();
-            assert_eq!(degraded, 6);
+            // Eviction retired the session's family and nothing else.
+            assert!(
+                snap.counters
+                    .iter()
+                    .map(|c| &c.name)
+                    .chain(snap.gauges.iter().map(|g| &g.name))
+                    .chain(snap.histograms.iter().map(|h| &h.name))
+                    .all(|name| !name.starts_with("serve.s0.")),
+                "the evicted session's metrics are gone"
+            );
         }
+    }
+
+    /// Regression: every admission used to leave its per-session family
+    /// in the registry for good, so a fleet that churns sessions grew
+    /// its registry (and its memory) without bound.
+    #[test]
+    fn churned_sessions_do_not_grow_the_registry() {
+        let sched = scheduler(1);
+        let registry = Registry::new();
+        let mut fleet = Fleet::observed(&sched, config(2, 8), &registry, "serve");
+        let live = fleet.admit(sheddable_chain(1)).unwrap();
+        fleet.request(live, 2).unwrap();
+        fleet.drive_epoch().unwrap();
+        let one_live = registry.len();
+        for k in 0..1_000 {
+            let id = fleet.admit(sheddable_chain(2 + k)).unwrap();
+            fleet.request(id, 1).unwrap();
+            fleet.drive_epoch().unwrap();
+            fleet.evict(id).unwrap();
+        }
+        assert_eq!(registry.len(), one_live, "one live session's worth");
+        fleet.evict(live).unwrap();
+        #[cfg(feature = "obs")]
+        assert!(registry.len() < one_live, "the last family went too");
     }
 
     #[test]

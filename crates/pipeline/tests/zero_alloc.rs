@@ -5,14 +5,28 @@
 //! A counting wrapper around the system allocator tracks every
 //! allocation; the workspace denies `unsafe_code` — only this test
 //! harness opts out to install the instrumented allocator.
+//!
+//! The counter is process-global on purpose: the multi-worker fleet
+//! proof must see the scheduler's helper threads. So nothing else in
+//! the process may allocate while a proof measures, and this file runs
+//! without libtest (`harness = false` in `Cargo.toml`): [`main`] runs
+//! the proofs one after another on the main thread. Under libtest, the
+//! harness's own thread spawns and its "has been running for over 60
+//! seconds" notices allocated inside the long scalar-kernel
+//! measurements of a `MINDFUL_SIMD=0` run. [`main`] accepts libtest's
+//! name filters, `--exact`, `--skip`, `--list` and `--quiet`, and
+//! reports in libtest's format.
 
 // SAFETY: the sole unsafe construct in this file is the `GlobalAlloc`
 // impl below, which delegates straight to `System`.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::io::Write;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::time::Instant;
 
 use mindful_decode::binning::BinAccumulator;
 use mindful_decode::kalman::KalmanDecoder;
@@ -46,10 +60,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// The counter is process-global, so tests that measure it must not
-/// run concurrently with tests that allocate.
-static MEASURE: Mutex<()> = Mutex::new(());
 
 /// Allocations performed while running `f`.
 fn allocations_during(f: impl FnOnce()) -> usize {
@@ -91,9 +101,7 @@ fn calibrate(ni: &mut NeuralInterface) -> (SpikeDetector, KalmanDecoder) {
 /// The acceptance chain: a 1024-channel sensing front end feeding
 /// spike detection, binning, Kalman decode, and RF packetization —
 /// allocation-free once every buffer has seen one full window.
-#[test]
 fn warm_five_stage_chain_is_allocation_free() {
-    let _guard = MEASURE.lock().unwrap();
     let mut ni = NeuralInterface::new(32, 600, 10, 5).unwrap();
     assert_eq!(ni.channels(), 1024);
     let (detector, kalman) = calibrate(&mut ni);
@@ -142,9 +150,7 @@ fn warm_five_stage_chain_is_allocation_free() {
 /// latency histograms, buffer gauges — still streams with **zero**
 /// allocations per warm step. Registration allocates up front;
 /// recording must not.
-#[test]
 fn warm_instrumented_five_stage_chain_is_allocation_free() {
-    let _guard = MEASURE.lock().unwrap();
     let registry = mindful_core::obs::Registry::new();
     let mut ni = NeuralInterface::new(32, 600, 10, 5).unwrap();
     assert_eq!(ni.channels(), 1024);
@@ -232,11 +238,9 @@ fn warm_instrumented_five_stage_chain_is_allocation_free() {
 /// A realtime session alongside the two best-effort ones gives every
 /// epoch two dispatch phases, so the barrier between them is inside
 /// the measured region too.
-#[test]
 fn warm_fleet_epoch_is_allocation_free() {
     use std::num::{NonZeroU32, NonZeroUsize};
 
-    let _guard = MEASURE.lock().unwrap();
     for workers in [1, 2, 4] {
         let registry = mindful_core::obs::Registry::new();
         let sched = mindful_core::pool::Scheduler::new(NonZeroUsize::new(workers).unwrap());
@@ -331,12 +335,10 @@ fn warm_fleet_epoch_is_allocation_free() {
 /// packetize → authenticated ARQ link (seal + NH/SipHash MAC verify +
 /// replay window) → neural firewall — allocation-free once the link's
 /// seal buffer, the MAC pad, and the firewall's baselines are warm.
-#[test]
 fn warm_secure_chain_is_allocation_free() {
     use mindful_rf::arq::ArqConfig;
     use mindful_rf::auth::{AuthConfig, AuthKey};
 
-    let _guard = MEASURE.lock().unwrap();
     let ni = NeuralInterface::new(32, 600, 10, 5).unwrap();
     let channels = ni.channels();
     let auth = AuthConfig::new(AuthKey::from_seed(0xA110C, 2));
@@ -388,9 +390,7 @@ fn warm_secure_chain_is_allocation_free() {
 
 /// The computation-centric variant: sensing straight into the embedded
 /// DNN, allocation-free after one warm frame.
-#[test]
 fn warm_dnn_chain_is_allocation_free() {
-    let _guard = MEASURE.lock().unwrap();
     let ni = NeuralInterface::new(32, 600, 10, 5).unwrap();
     let channels = ni.channels() as u64;
     let network = Network::with_seeded_weights(ModelFamily::Mlp.architecture(channels).unwrap(), 7);
@@ -412,9 +412,7 @@ fn warm_dnn_chain_is_allocation_free() {
 /// The quantized twin: the int8 datapath reuses the same workspace
 /// arenas (i8 ping-pong + i32 accumulators grown once at
 /// construction), so a warm Int8 chain is just as allocation-free.
-#[test]
 fn warm_int8_dnn_chain_is_allocation_free() {
-    let _guard = MEASURE.lock().unwrap();
     let ni = NeuralInterface::new(32, 600, 10, 5).unwrap();
     let channels = ni.channels() as u64;
     let network = Network::with_seeded_weights(ModelFamily::Mlp.architecture(channels).unwrap(), 7);
@@ -443,9 +441,7 @@ fn warm_int8_dnn_chain_is_allocation_free() {
 /// The instrumented computation-centric chain: per-stage metrics *and*
 /// the inference engine's per-layer span tracing (ring-buffer writes on
 /// this thread) — still allocation-free per warm step.
-#[test]
 fn warm_instrumented_dnn_chain_is_allocation_free() {
-    let _guard = MEASURE.lock().unwrap();
     let registry = mindful_core::obs::Registry::new();
     let ni = NeuralInterface::new(32, 600, 10, 5).unwrap();
     let channels = ni.channels() as u64;
@@ -482,5 +478,165 @@ fn warm_instrumented_dnn_chain_is_allocation_free() {
             "per-layer spans were recorded during the measured steps"
         );
         assert!(spans.iter().all(|s| s.name.starts_with("dnn.")));
+    }
+}
+
+/// Every proof, in the order [`main`] runs them.
+const PROOFS: [(&str, fn()); 7] = [
+    (
+        "warm_five_stage_chain_is_allocation_free",
+        warm_five_stage_chain_is_allocation_free,
+    ),
+    (
+        "warm_instrumented_five_stage_chain_is_allocation_free",
+        warm_instrumented_five_stage_chain_is_allocation_free,
+    ),
+    (
+        "warm_fleet_epoch_is_allocation_free",
+        warm_fleet_epoch_is_allocation_free,
+    ),
+    (
+        "warm_secure_chain_is_allocation_free",
+        warm_secure_chain_is_allocation_free,
+    ),
+    (
+        "warm_dnn_chain_is_allocation_free",
+        warm_dnn_chain_is_allocation_free,
+    ),
+    (
+        "warm_int8_dnn_chain_is_allocation_free",
+        warm_int8_dnn_chain_is_allocation_free,
+    ),
+    (
+        "warm_instrumented_dnn_chain_is_allocation_free",
+        warm_instrumented_dnn_chain_is_allocation_free,
+    ),
+];
+
+/// libtest's command-line subset: which proofs to run, and how to
+/// report them.
+#[derive(Default)]
+struct Args {
+    filters: Vec<String>,
+    skip: Vec<String>,
+    exact: bool,
+    list: bool,
+    quiet: bool,
+    /// `--ignored`: this file has no ignored proofs, so run none.
+    ignored_only: bool,
+}
+
+impl Args {
+    fn parse() -> Self {
+        let mut args = Self::default();
+        let mut it = std::env::args().skip(1);
+        while let Some(arg) = it.next() {
+            let (flag, inline) = match arg.split_once('=') {
+                Some((flag, value)) if arg.starts_with("--") => (flag.to_owned(), Some(value)),
+                _ => (arg.clone(), None),
+            };
+            match flag.as_str() {
+                "--exact" => args.exact = true,
+                "--list" => args.list = true,
+                "-q" | "--quiet" => args.quiet = true,
+                "--ignored" => args.ignored_only = true,
+                "--skip" => args
+                    .skip
+                    .extend(inline.map(str::to_owned).or_else(|| it.next())),
+                // Value-taking libtest options this harness ignores.
+                "--test-threads" | "--logfile" | "--color" | "--format" | "-Z"
+                | "--shuffle-seed" => {
+                    if inline.is_none() {
+                        it.next();
+                    }
+                }
+                _ if arg.starts_with('-') => {}
+                _ => args.filters.push(arg),
+            }
+        }
+        args
+    }
+
+    fn selects(&self, name: &str) -> bool {
+        let hit = |pattern: &String| {
+            if self.exact {
+                name == pattern
+            } else {
+                name.contains(pattern.as_str())
+            }
+        };
+        !self.ignored_only
+            && (self.filters.is_empty() || self.filters.iter().any(hit))
+            && !self.skip.iter().any(hit)
+    }
+}
+
+fn main() -> ExitCode {
+    let args = Args::parse();
+    let plural = |n: usize| if n == 1 { "" } else { "s" };
+    let selected: Vec<(&str, fn())> = PROOFS
+        .into_iter()
+        .filter(|(name, _)| args.selects(name))
+        .collect();
+    if args.list {
+        for (name, _) in &selected {
+            println!("{name}: test");
+        }
+        if !args.quiet {
+            println!(
+                "\n{} test{}, 0 benchmarks",
+                selected.len(),
+                plural(selected.len())
+            );
+        }
+        return ExitCode::SUCCESS;
+    }
+
+    let start = Instant::now();
+    println!(
+        "\nrunning {} test{}",
+        selected.len(),
+        plural(selected.len())
+    );
+    let mut failed = Vec::new();
+    for (name, proof) in &selected {
+        if !args.quiet {
+            print!("test {name} ... ");
+            std::io::stdout().flush().expect("stdout flushes");
+        }
+        let outcome = catch_unwind(AssertUnwindSafe(proof));
+        if outcome.is_err() {
+            failed.push(*name);
+        }
+        let verdict = match (args.quiet, outcome.is_ok()) {
+            (true, true) => ".",
+            (true, false) => "F",
+            (false, true) => "ok\n",
+            (false, false) => "FAILED\n",
+        };
+        print!("{verdict}");
+    }
+    if args.quiet {
+        println!();
+    }
+    if !failed.is_empty() {
+        println!("\nfailures:");
+        for name in &failed {
+            println!("    {name}");
+        }
+    }
+    println!(
+        "\ntest result: {}. {} passed; {} failed; 0 ignored; 0 measured; {} filtered out; \
+         finished in {:.2}s\n",
+        if failed.is_empty() { "ok" } else { "FAILED" },
+        selected.len() - failed.len(),
+        failed.len(),
+        PROOFS.len() - selected.len(),
+        start.elapsed().as_secs_f64(),
+    );
+    if failed.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

@@ -81,7 +81,10 @@ pub fn packetize_into(
     } else {
         (1_u16 << sample_bits) - 1
     };
-    if let Some(&bad) = samples.iter().find(|&&s| s > limit) {
+    // Range check as one max-reduction before anything is written; only
+    // a failing frame pays for the search that names the culprit.
+    if samples.iter().copied().max().unwrap_or(0) > limit {
+        let bad = samples.iter().copied().find(|&s| s > limit).unwrap_or(0);
         return Err(RfError::InvalidParameter {
             name: "sample value",
             value: f64::from(bad),
@@ -91,24 +94,41 @@ pub fn packetize_into(
     let payload_bits = samples.len() * usize::from(sample_bits);
     let payload_bytes = payload_bits.div_ceil(8);
     out.reserve(HEADER_BYTES + payload_bytes + TRAILER_BYTES);
-    out.extend_from_slice(&PACKET_MAGIC.to_be_bytes());
-    out.extend_from_slice(&sequence.to_be_bytes());
-    out.extend_from_slice(&(samples.len() as u16).to_be_bytes());
-    out.push(sample_bits);
+    out.resize(HEADER_BYTES + payload_bytes, 0);
+    let (header, payload) = out.split_at_mut(HEADER_BYTES);
+    header[0..2].copy_from_slice(&PACKET_MAGIC.to_be_bytes());
+    header[2..4].copy_from_slice(&sequence.to_be_bytes());
+    header[4..6].copy_from_slice(&(samples.len() as u16).to_be_bytes());
+    header[6] = sample_bits;
 
-    // Bit-pack MSB-first.
-    let mut acc: u32 = 0;
+    // Bit-pack MSB-first: samples shift into a 64-bit accumulator that
+    // is written out 32 bits at a time. Bits above `acc_bits` are stale
+    // and fall off in the narrowing casts. A sample adds at most 16
+    // bits, so one write per sample keeps `acc_bits` under 32, and the
+    // words are exactly the payload's first `payload_bits / 32`.
+    let (words, tail) = payload.split_at_mut(payload_bits / 32 * 4);
+    let mut words = words.chunks_exact_mut(4);
+    let bits = u32::from(sample_bits);
+    let mut acc: u64 = 0;
     let mut acc_bits: u32 = 0;
     for &s in samples {
-        acc = (acc << sample_bits) | u32::from(s);
-        acc_bits += u32::from(sample_bits);
-        while acc_bits >= 8 {
-            acc_bits -= 8;
-            out.push(((acc >> acc_bits) & 0xFF) as u8);
+        acc = (acc << bits) | u64::from(s);
+        acc_bits += bits;
+        if acc_bits >= 32 {
+            acc_bits -= 32;
+            if let Some(word) = words.next() {
+                word.copy_from_slice(&((acc >> acc_bits) as u32).to_be_bytes());
+            }
         }
     }
-    if acc_bits > 0 {
-        out.push(((acc << (8 - acc_bits)) & 0xFF) as u8);
+    // Under 32 bits remain: whole bytes, then a zero-padded last byte.
+    for byte in tail {
+        *byte = if acc_bits >= 8 {
+            acc_bits -= 8;
+            (acc >> acc_bits) as u8
+        } else {
+            (acc << (8 - acc_bits)) as u8
+        };
     }
 
     let crc = crc16(out);

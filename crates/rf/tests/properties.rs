@@ -3,8 +3,9 @@
 use mindful_rf::linkbudget::LinkBudget;
 use mindful_rf::modem::Modem;
 use mindful_rf::modulation::Modulation;
-use mindful_rf::packet::{crc16, depacketize, packetize};
+use mindful_rf::packet::{crc16, depacketize, packetize, packetize_into, PACKET_MAGIC};
 use mindful_rf::qfunc::{from_db, q, q_inv, to_db};
+use mindful_rf::RfError;
 use proptest::prelude::*;
 
 proptest! {
@@ -131,5 +132,106 @@ proptest! {
         let mut changed = data.clone();
         changed[0] ^= 0x01;
         prop_assert_ne!(base, crc16(&changed));
+    }
+}
+
+/// The byte-at-a-time packer the word-wide one replaced, kept as the
+/// oracle: header, MSB-first payload pushed one byte at a time through
+/// a 32-bit accumulator, CRC trailer.
+fn oracle_packetize(sequence: u16, samples: &[u16], sample_bits: u8) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&PACKET_MAGIC.to_be_bytes());
+    out.extend_from_slice(&sequence.to_be_bytes());
+    out.extend_from_slice(&(samples.len() as u16).to_be_bytes());
+    out.push(sample_bits);
+    let mut acc: u32 = 0;
+    let mut acc_bits: u32 = 0;
+    for &s in samples {
+        acc = (acc << sample_bits) | u32::from(s);
+        acc_bits += u32::from(sample_bits);
+        while acc_bits >= 8 {
+            acc_bits -= 8;
+            out.push(((acc >> acc_bits) & 0xFF) as u8);
+        }
+    }
+    if acc_bits > 0 {
+        out.push(((acc << (8 - acc_bits)) & 0xFF) as u8);
+    }
+    let crc = crc16(&out);
+    out.extend_from_slice(&crc.to_be_bytes());
+    out
+}
+
+/// SplitMix64 step, for reproducible sample patterns.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+fn sample_limit(bits: u8) -> u16 {
+    if bits == 16 {
+        u16::MAX
+    } else {
+        (1 << bits) - 1
+    }
+}
+
+#[test]
+fn word_wide_packer_matches_the_bytewise_oracle() {
+    let mut state = 0x9ACC_u64;
+    let mut out = vec![0xEE; 3];
+    for bits in 1..=16_u8 {
+        let limit = sample_limit(bits);
+        for channels in 1..=67_usize {
+            let patterns: [Vec<u16>; 4] = [
+                (0..channels)
+                    .map(|_| splitmix(&mut state) as u16 & limit)
+                    .collect(),
+                vec![limit; channels],
+                vec![0; channels],
+                (0..channels)
+                    .map(|c| if c % 2 == 0 { limit } else { 0 })
+                    .collect(),
+            ];
+            for samples in &patterns {
+                let seq = splitmix(&mut state) as u16;
+                let expected = oracle_packetize(seq, samples, bits);
+                packetize_into(seq, samples, bits, &mut out).unwrap();
+                assert_eq!(out, expected, "{bits} bits, {channels} channels");
+                assert_eq!(depacketize(&out).unwrap().samples, *samples);
+            }
+        }
+    }
+}
+
+#[test]
+fn word_wide_packer_names_the_first_overflowing_sample() {
+    let mut state = 0x0BAD_u64;
+    for bits in 1..=15_u8 {
+        let limit = sample_limit(bits);
+        for channels in [1_usize, 2, 7, 33, 67] {
+            let mut samples: Vec<u16> = (0..channels)
+                .map(|_| splitmix(&mut state) as u16 & limit)
+                .collect();
+            let first = splitmix(&mut state) as usize % channels;
+            samples[first] = limit + 1;
+            // A larger offender later on must not be the one named.
+            if first + 1 < channels {
+                samples[channels - 1] = u16::MAX;
+            }
+            let mut out = vec![0xEE; 5];
+            let err = packetize_into(3, &samples, bits, &mut out).unwrap_err();
+            match err {
+                RfError::InvalidParameter {
+                    name: "sample value",
+                    value,
+                } => assert_eq!(value, f64::from(limit + 1), "{bits} bits, {channels} ch"),
+                other => panic!("unexpected error {other:?}"),
+            }
+            assert!(out.is_empty(), "a rejected frame leaves `out` cleared");
+        }
     }
 }
